@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 
+from .ast import Model
 from .eval import CatModel
 from .parser import parse
 
@@ -17,19 +19,27 @@ def available_cat_models() -> list[str]:
     return sorted(p.stem for p in MODELS_DIR.glob("*.cat"))
 
 
+@cache
+def _parse_bundled(name: str) -> Model:
+    """The parsed AST of a bundled model, read once per process.
+
+    The bundled files ship with the package and do not change while it
+    runs; the AST is immutable, so every ``CatModel`` may share it.
+    """
+    return parse((MODELS_DIR / f"{name}.cat").read_text())
+
+
 def load_cat_model(name: str) -> CatModel:
-    """Parse a bundled model file into a runnable :class:`CatModel`."""
+    """A runnable :class:`CatModel` for a bundled model file."""
     path = MODELS_DIR / f"{name}.cat"
     if not path.exists():
         raise KeyError(
             f"no bundled cat model {name!r}; available: "
             f"{', '.join(available_cat_models())}"
         )
-    return CatModel(
-        parse(path.read_text()), transactional=name in _TRANSACTIONAL
-    )
+    return CatModel(_parse_bundled(name), transactional=name in _TRANSACTIONAL)
 
 
 def load_cat_file(path: str | Path) -> CatModel:
-    """Parse an arbitrary .cat file."""
+    """Parse an arbitrary .cat file (read afresh on every call)."""
     return CatModel(parse(Path(path).read_text()))

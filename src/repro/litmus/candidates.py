@@ -7,11 +7,12 @@ an stxn class) or aborts (vanishing as a no-op).
 
 This module enumerates exactly that: for every subset of committed
 transactions, every assignment of a source write (or the initial value)
-to every read, and every per-location coherence order, it builds the
-execution, evaluates register/memory outcomes, and applies the
-postcondition.  Together with a memory model's consistency predicate,
-this answers "can this litmus test pass?" -- the question the Litmus
-tool answers by running silicon, answered here by exhaustive semantics.
+to every read, and every per-location coherence order, it evaluates
+register/memory outcomes, applies the postcondition, and builds the
+execution (:func:`passing_candidates` builds only the passing ones).
+Together with a memory model's consistency predicate, this answers "can
+this litmus test pass?" -- the question the Litmus tool answers by
+running silicon, answered here by exhaustive semantics.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterator
 from ..events import Event, Execution, FENCE, READ, WRITE
 from ..events.execution import SkeletonCompleter
 from ..models.base import MemoryModel
+from .postcondition import Postcondition
 from .program import (
     AbortUnless,
     Fence,
@@ -223,6 +225,25 @@ def candidate_executions(
     generated where the paired store-exclusive succeeded (the models'
     atomicity axioms then constrain which of those are consistent).
     """
+    return _candidates(program, require_all_txns, None)
+
+
+def passing_candidates(program: Program) -> Iterator[Candidate]:
+    """The candidates that satisfy the program's postcondition, in
+    :func:`candidate_executions` order.
+
+    The postcondition reads only the final registers, memory and commit
+    flag, all known before the execution is built, so rejected
+    candidates never build one.
+    """
+    return _candidates(program, False, program.postcondition)
+
+
+def _candidates(
+    program: Program,
+    require_all_txns: bool,
+    postcondition: Postcondition | None,
+) -> Iterator[Candidate]:
     txn_ids = list(range(program.transaction_count()))
     if require_all_txns or not txn_ids:
         commit_choices = [frozenset(txn_ids)]
@@ -238,14 +259,19 @@ def candidate_executions(
             sk = _build_skeleton(program, committed)
         except _SkipSkeleton:
             continue
-        yield from _complete_skeleton(sk, committed, len(txn_ids))
+        yield from _complete_skeleton(
+            sk, committed, len(txn_ids), postcondition
+        )
 
 
 def _complete_skeleton(
     sk: _Skeleton,
     committed: frozenset[int],
     total_txns: int,
+    postcondition: Postcondition | None,
 ) -> Iterator[Candidate]:
+    """Every rf/co completion of the skeleton, or only those whose final
+    state satisfies ``postcondition`` when one is given."""
     events_by_eid = {e.eid: e for e in sk.events}
     writes_by_loc: dict[str, list[int]] = {}
     for e in sk.events:
@@ -296,18 +322,25 @@ def _complete_skeleton(
             sk.reg_of_read[r]: value for r, value in read_values.items()
         }
 
-        completer.start_rf(rf_pairs)
+        rf_started = False
         for co_perm in itertools.product(*co_choices_per_loc):
+            memory = {
+                loc: (sk.write_value[perm[-1]] if perm else 0)
+                for loc, perm in zip(locs, co_perm)
+            }
+            if postcondition is not None and not postcondition.holds(
+                registers, memory, all_committed
+            ):
+                continue
+            if not rf_started:
+                completer.start_rf(rf_pairs)
+                rf_started = True
             co_pairs = [
                 (a, b)
                 for perm in co_perm
                 for a, b in zip(perm, perm[1:])
             ]
             execution = completer.complete(co_pairs)
-            memory = {
-                loc: (sk.write_value[perm[-1]] if perm else 0)
-                for loc, perm in zip(locs, co_perm)
-            }
             yield Candidate(
                 execution=execution,
                 registers=registers,
@@ -338,9 +371,12 @@ def find_witness(
     """The first consistent candidate (satisfying the postcondition,
     unless disabled), or ``None`` -- i.e. "is this test's outcome allowed
     by this model?"."""
-    for candidate in candidate_executions(program):
-        if require_postcondition and not candidate.passes(program):
-            continue
+    candidates = (
+        passing_candidates(program)
+        if require_postcondition
+        else candidate_executions(program)
+    )
+    for candidate in candidates:
         if model.consistent(candidate.execution):
             return Witness(candidate)
     return None

@@ -24,7 +24,7 @@ Two knobs reproduce the paper's empirical observations:
 from __future__ import annotations
 
 from ..events import Execution
-from ..litmus.candidates import candidate_executions
+from ..litmus.candidates import passing_candidates
 from ..litmus.program import Program
 from ..models.base import AxiomThunk, MemoryModel
 from ..obs import REGISTRY
@@ -109,10 +109,8 @@ class OracleHardware:
         its postcondition?  With ``intended_co``, the candidate's
         coherence order must match the generating execution's."""
         with _OBSERVABLE_TIMER.time():
-            for candidate in candidate_executions(program):
+            for candidate in passing_candidates(program):
                 _CANDIDATES.inc()
-                if not candidate.passes(program):
-                    continue
                 if intended_co is not None and not _co_matches(
                     candidate, intended_co
                 ):

@@ -13,7 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro import ir
-from repro.cat import load_cat_model, parse
+from repro.cat import (
+    available_cat_models,
+    load_cat_file,
+    load_cat_model,
+    parse,
+)
 from repro.cat.eval import CatModel, _compile_model
 from repro.events import ExecutionBuilder
 from repro.models import get_model
@@ -29,11 +34,26 @@ def _execution():
 
 
 def test_compilation_shared_across_instances():
-    """Loading the same bundled model twice reuses one lowered plan
-    (and therefore one term DAG and one per-execution cache space)."""
-    first = load_cat_model("powertm")
-    second = load_cat_model("powertm")
-    assert first.plan() is second.plan()
+    """Loading the same bundled model twice parses its source once and
+    reuses one lowered plan (and therefore one term DAG and one
+    per-execution cache space); each load is still a new ``CatModel``."""
+    for name in available_cat_models():
+        first, second = load_cat_model(name), load_cat_model(name)
+        assert first is not second
+        assert first.model is second.model
+        assert first.plan() is second.plan()
+
+
+def test_load_cat_file_rereads_its_file(tmp_path):
+    """An arbitrary ``.cat`` file is read afresh on every load, so an
+    edit between two loads is seen."""
+    path = tmp_path / "m.cat"
+    path.write_text('"m" acyclic po as A')
+    before = load_cat_file(path)
+    path.write_text('"m" acyclic po | rf as A')
+    after = load_cat_file(path)
+    assert before.model != after.model
+    assert before.plan() is not after.plan()
 
 
 def test_distinct_models_get_distinct_plans():
