@@ -6,7 +6,8 @@ Times the Table 1 pipeline (synthesis + hardware validation) for each
 architecture -- SC, x86, Power, and ARMv8 -- and appends one timestamped
 entry per architecture to ``BENCH_relations.json`` at the repo root, so
 the performance trajectory stays visible per-architecture across PRs.
-The synthesis phase is the workload that exercises the relation-algebra
+Both phases run through one single-worker ``CheckPipeline``.  The
+synthesis phase is the workload that exercises the relation-algebra
 IR executor hardest: Power runs the herding-cats ``ppo`` fixpoint plus
 three reflexive-transitive closures per candidate, ARMv8 the large ``ob``
 union.
@@ -31,7 +32,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.enumeration import synthesise  # noqa: E402
 from repro.harness import CheckPipeline  # noqa: E402
 from repro.harness.table1 import run_table1  # noqa: E402
 
@@ -40,11 +40,11 @@ DEFAULT_ARCHES = ("sc", "x86", "power", "armv8")
 
 
 def bench(arch: str, bound: int) -> dict:
-    t0 = time.monotonic()
-    synthesis = synthesise(arch, bound)
-    synth_seconds = time.monotonic() - t0
+    with CheckPipeline(workers=1) as pipeline:
+        t0 = time.monotonic()
+        synthesis = pipeline.synthesis(arch, bound)
+        synth_seconds = time.monotonic() - t0
 
-    with CheckPipeline() as pipeline:
         t0 = time.monotonic()
         table = run_table1(arch, bound, synthesis=synthesis, pipeline=pipeline)
         validate_seconds = time.monotonic() - t0

@@ -5,10 +5,10 @@ Figure 7 benchmarks (which share a synthesis run, exactly as in the
 paper) do not recompute the suites.
 
 Bounds: exhaustive synthesis is exponential in the event bound.  The
-defaults here finish in minutes on one core; EXPERIMENTS.md records the
-deeper runs (x86 |E| ≤ 4: 22 tests = the paper's count; Power |E| ≤ 4:
-60 tests = the paper's count) which take ~20s and ~35 min respectively.
-Set REPRO_BENCH_EVENTS=4 to run those inside the suite.
+defaults here finish in minutes on one core.  The deeper runs (x86
+|E| ≤ 4: 22 tests = the paper's count; Power |E| ≤ 4: 60 tests = the
+paper's count) take ~20s and ~35 min respectively; set
+REPRO_BENCH_EVENTS=4 to run those inside the suite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.enumeration import synthesise
+from repro.api import synthesize
 
 EVENT_BOUND = int(os.environ.get("REPRO_BENCH_EVENTS", "3"))
 
@@ -37,14 +37,14 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(scope="session")
 def x86_synthesis():
-    return synthesise("x86", EVENT_BOUND)
+    return synthesize("x86", EVENT_BOUND)
 
 
 @pytest.fixture(scope="session")
 def power_synthesis():
-    return synthesise("power", min(EVENT_BOUND, 3))
+    return synthesize("power", min(EVENT_BOUND, 3))
 
 
 @pytest.fixture(scope="session")
 def armv8_synthesis():
-    return synthesise("armv8", 3)
+    return synthesize("armv8", 3)

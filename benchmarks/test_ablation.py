@@ -6,7 +6,7 @@ quantifies what each TM axiom contributes to the synthesised suites
 isolation axioms dominate the small x86 suite).
 """
 
-from repro.enumeration import synthesise
+from repro.api import synthesize
 from repro.harness.ablation import run_ablation
 
 
@@ -22,7 +22,7 @@ def test_ablation_x86(benchmark, x86_synthesis):
 
 
 def test_ablation_power(benchmark):
-    synthesis = synthesise("power", 2)
+    synthesis = synthesize("power", 2)
     result = benchmark.pedantic(
         lambda: run_ablation("power", synthesis=synthesis),
         iterations=1,

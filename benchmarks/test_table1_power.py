@@ -16,10 +16,10 @@ from repro.harness.table1 import run_table1
 
 
 def test_table1_power_synthesis(benchmark):
-    from repro.enumeration import synthesise
+    from repro.api import synthesize
 
     result = benchmark.pedantic(
-        lambda: synthesise("power", 2), iterations=1, rounds=1
+        lambda: synthesize("power", 2), iterations=1, rounds=1
     )
     assert len(result.forbidden) == 2, "paper: 2 Forbid tests at |E|=2"
     for x in result.forbidden:

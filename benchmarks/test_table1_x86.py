@@ -17,10 +17,10 @@ from repro.sim import TSOHardware
 
 def test_table1_x86_synthesis(benchmark, x86_synthesis):
     """Benchmark: regenerate the x86 Forbid/Allow suites."""
-    from repro.enumeration import synthesise
+    from repro.api import synthesize
 
     result = benchmark.pedantic(
-        lambda: synthesise("x86", 3), iterations=1, rounds=1
+        lambda: synthesize("x86", 3), iterations=1, rounds=1
     )
     by_size = result.forbidden_by_size()
     assert len(by_size.get(2, [])) == 0, "paper: 0 Forbid tests at |E|=2"

@@ -15,9 +15,7 @@ capability happens to live in this month:
   (``"table1"``, ``"table2"``, ``"figure7"``, ``"ablation"``) under
   one set of keyword arguments.
 
-The legacy entry points (``repro.harness.run_table1`` and friends,
-``repro.enumeration.synthesise`` called directly from scripts) keep
-working but are deprecated shims; new code imports ``repro.api``::
+Scripts import ``repro.api``::
 
     from repro import api
 
@@ -85,8 +83,7 @@ def synthesize(
     """The Forbid/Allow conformance suites for ``target`` up to ``bound``.
 
     Runs the sharded work-stealing scheduler: the result is
-    byte-identical at every ``workers`` count (and to the sequential
-    enumerator), only wall-clock varies.  ``cache`` points at a
+    byte-identical at every ``workers`` count, only wall-clock varies.  ``cache`` points at a
     cross-run verdict-cache directory; ``checkpoint`` at a JSONL file a
     killed run resumes from.
     """

@@ -34,7 +34,7 @@ from .shapes import (
     sample_interval_set,
     sample_partition,
 )
-from .synthesis import SynthesisResult, synthesise
+from .synthesis import SynthesisResult
 
 __all__ = [
     "ARMV8_CONFIG",
@@ -68,6 +68,5 @@ __all__ = [
     "shard_signatures",
     "shard_skeletons",
     "signature_label",
-    "synthesise",
     "weakenings",
 ]

@@ -1,7 +1,6 @@
-"""Conformance-test synthesis: the Forbid and Allow suites (§4.2, §5.3).
+"""The result type of conformance-test synthesis (§4.2, §5.3).
 
-``synthesise(target, max_events)`` reproduces the paper's Memalloy
-pipeline:
+Synthesis reproduces the paper's Memalloy pipeline:
 
 * **Forbid** -- every execution, up to the event bound and up to
   isomorphism, that is (a) *inconsistent* under the transactional model,
@@ -10,26 +9,19 @@ pipeline:
 * **Allow** -- the one-step ⊏-weakenings of the Forbid tests (all
   consistent, by minimality), deduplicated.
 
-Discovery timestamps are recorded per Forbid test so that Figure 7's
-"fraction of tests found vs. time" distribution can be regenerated, and
-a wall-clock budget makes a row "non-exhaustive" exactly like the
-paper's 2-hour SAT timeout.
+The loop itself is :func:`repro.harness.scheduler.synthesise_sharded`,
+reached through :meth:`repro.harness.pipeline.CheckPipeline.synthesis`
+or :func:`repro.api.synthesize`.  Discovery timestamps are recorded per
+Forbid test so that Figure 7's "fraction of tests found vs. time"
+distribution can be regenerated, and a wall-clock budget makes a row
+"non-exhaustive" exactly like the paper's 2-hour SAT timeout.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..events import Execution
-from ..models import get_model
-from ..models.base import MemoryModel
-from ..obs import REGISTRY, TRACER
-from .canonical import canonical_key
-from .complete import complete_skeleton
-from .config import EnumerationConfig, get_config
-from .minimality import is_minimal_inconsistent, weakenings
-from .shapes import enumerate_skeletons
 
 
 @dataclass
@@ -68,118 +60,3 @@ class SynthesisResult:
             n = len(x.txn_classes)
             out[n] = out.get(n, 0) + 1
         return out
-
-
-def synthesise(
-    target: str,
-    max_events: int,
-    time_budget: float | None = None,
-    model: MemoryModel | None = None,
-    config: EnumerationConfig | None = None,
-) -> SynthesisResult:
-    """Generate the Forbid and Allow suites for one target.
-
-    Args:
-        target: enumeration target ("x86", "power", "armv8", "cpp", "sc").
-        max_events: synthesise Forbid tests with 2..max_events events.
-        time_budget: optional wall-clock cap in seconds; when exceeded
-            the result is marked incomplete (the paper's timeout rows).
-        model / config: overrides for experiments (e.g. injected-bug
-            models).
-    """
-    config = config or get_config(target)
-    model = model or get_model(config.model_name)
-    baseline = model.baseline()
-
-    result = SynthesisResult(target=target, max_events=max_events)
-    start = time.monotonic()
-    seen_forbidden: set[tuple] = set()
-
-    with TRACER.span(f"synthesis:{target}"):
-        for n_events in range(2, max_events + 1):
-            _synthesise_bound(
-                result,
-                target,
-                n_events,
-                model,
-                baseline,
-                config,
-                seen_forbidden,
-                start,
-                time_budget,
-            )
-            if not result.complete:
-                break
-
-        # Allow = one-step weakenings of the Forbid tests, deduplicated.
-        with TRACER.span(f"synthesis:{target}:weakenings"):
-            seen_allowed: set[tuple] = set()
-            for x in result.forbidden:
-                for child in weakenings(x, config):
-                    if len(child) == 0:
-                        continue
-                    key = canonical_key(child)
-                    if key in seen_allowed or key in seen_forbidden:
-                        continue
-                    seen_allowed.add(key)
-                    result.allowed.append(child)
-
-    result.elapsed = time.monotonic() - start
-    return result
-
-
-def _synthesise_bound(
-    result: SynthesisResult,
-    target: str,
-    n_events: int,
-    model: MemoryModel,
-    baseline: MemoryModel,
-    config: EnumerationConfig,
-    seen_forbidden: set[tuple],
-    start: float,
-    time_budget: float | None,
-) -> None:
-    """One event bound's enumeration pass, with per-bound metrics.
-
-    Candidates are attributed to exactly one outcome -- consistent,
-    baseline-inconsistent, non-minimal, duplicate, or forbidden -- so
-    the per-bound prune counters sum back to the candidate counter.
-    """
-    prefix = f"enumeration.{target}.bound{n_events}"
-    c_skeletons = REGISTRY.counter(f"{prefix}.skeletons")
-    c_candidates = REGISTRY.counter(f"{prefix}.candidates")
-    c_consistent = REGISTRY.counter(f"{prefix}.pruned_consistent")
-    c_baseline = REGISTRY.counter(f"{prefix}.pruned_baseline")
-    c_nonminimal = REGISTRY.counter(f"{prefix}.pruned_nonminimal")
-    c_duplicate = REGISTRY.counter(f"{prefix}.pruned_duplicate")
-    c_forbidden = REGISTRY.counter(f"{prefix}.forbidden")
-    with TRACER.span(f"synthesis:{target}:bound{n_events}"), REGISTRY.timed(
-        f"{prefix}.seconds"
-    ):
-        for skeleton in enumerate_skeletons(config, n_events):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                result.complete = False
-                return
-            c_skeletons.inc()
-            for x in complete_skeleton(skeleton):
-                result.candidates_examined += 1
-                c_candidates.inc()
-                if model.consistent(x):
-                    c_consistent.inc()
-                    continue
-                if not baseline.consistent(x):
-                    c_baseline.inc()
-                    continue  # not a transactional relaxation
-                if not is_minimal_inconsistent(
-                    x, model, config, known_inconsistent=True
-                ):
-                    c_nonminimal.inc()
-                    continue
-                key = canonical_key(x)
-                if key in seen_forbidden:
-                    c_duplicate.inc()
-                    continue
-                seen_forbidden.add(key)
-                c_forbidden.inc()
-                result.forbidden.append(x)
-                result.discovery_times.append(time.monotonic() - start)

@@ -4,7 +4,7 @@ The paper's figure plots, for the 7-event x86 run, the cumulative
 percentage of Forbid tests found against wall-clock time, observing that
 98% of tests appear within the first 6% of the run.  This driver
 computes the same curve from the per-test discovery timestamps recorded
-by :func:`repro.enumeration.synthesise` and renders it as an ASCII plot
+by :meth:`CheckPipeline.synthesis` and renders it as an ASCII plot
 plus the headline percentiles.
 """
 

@@ -7,12 +7,12 @@ model?".  :class:`CheckPipeline` evaluates such job lists through one
 shared cache layer:
 
 * **synthesis cache** -- Table 1, Figure 7, and the ablation all consume
-  the same :func:`~repro.enumeration.synthesise` run; the pipeline
-  computes it once per ``(arch, max_events, time_budget)``.
+  the same :meth:`CheckPipeline.synthesis` run; the pipeline computes
+  it once per ``(arch, max_events, time_budget)``.
 * **batched evaluation** -- jobs are submitted as a list and evaluated
   in order, either sequentially (the default) or fanned out across a
   ``multiprocessing`` pool (``workers > 1``, or the
-  ``REPRO_PIPELINE_WORKERS`` environment variable).  Results are
+  ``REPRO_WORKERS`` environment variable).  Results are
   returned in submission order, so verdicts are identical either way.
 * **checkpoint/resume** -- with a ``checkpoint`` path, every completed
   job appends one JSONL record keyed by its stable digest
@@ -297,9 +297,7 @@ class CheckPipeline:
 
     Args:
         workers: fan-out width.  ``None`` reads ``REPRO_WORKERS``
-            (defaulting to sequential; the legacy
-            ``REPRO_PIPELINE_WORKERS`` spelling still works, with a
-            deprecation warning); ``0``/``1`` force sequential
+            (defaulting to sequential); ``0``/``1`` force sequential
             evaluation; larger values use a ``multiprocessing`` pool.
         checkpoint: optional path to a JSONL checkpoint file.  Completed
             jobs append one record each; a restarted pipeline pointed at
@@ -457,7 +455,7 @@ class CheckPipeline:
         (:func:`repro.harness.scheduler.synthesise_sharded`): the
         enumeration fans out across this pipeline's workers and reuses
         its checkpoint and verdict cache, with results byte-identical
-        to the sequential :func:`repro.enumeration.synthesise`.
+        at any worker count.
         """
         key = (arch, max_events, time_budget)
         if key not in self._synthesis_cache:

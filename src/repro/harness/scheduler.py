@@ -1,9 +1,9 @@
 """Work-stealing sharded synthesis on top of :class:`CheckPipeline`.
 
-:func:`synthesise_sharded` reproduces
-:func:`repro.enumeration.synthesise` exactly -- same Forbid/Allow
-suites, same order, same ``enumeration.*`` counters -- but evaluates
-the candidate space in parallel work units.  The space is split by
+:func:`synthesise_sharded` is the one synthesis loop (§4.2, §5.3; see
+:mod:`repro.enumeration.synthesis`): it evaluates the candidate space
+in parallel work units, and at ``workers=1`` the units simply run
+inline in order.  The space is split by
 canonical skeleton signature (:mod:`repro.enumeration.sharding`); each
 shard's completion range is dispatched in chunks; idle workers steal
 half of the largest remaining range.  Three properties carry the
@@ -12,8 +12,8 @@ design:
 * **Determinism.**  Chunk *boundaries* are timing-dependent (stealing
   reacts to load), but chunk *contents* are pure index ranges, and the
   fold sorts payloads by ``(shard index, range start)`` before folding
-  -- so the folded result is byte-identical at any ``--workers`` count,
-  and identical to the sequential enumerator's output.
+  -- so the folded result is byte-identical at any ``--workers`` count
+  (pinned against ``tests/data/synthesis_golden.json``).
 * **Self-description.**  A work unit is the tuple ``("synth_chunk",
   target, bound, signature, start, stop)`` and its payload repeats
   those coordinates, so a checkpoint can replay completed ranges as
@@ -437,23 +437,18 @@ def _gaps(
 def synthesise_sharded(
     target: str,
     max_events: int,
-    time_budget: float | None = None,
-    pipeline: "CheckPipeline | None" = None,
+    time_budget: float | None,
+    pipeline: "CheckPipeline",
 ) -> SynthesisResult:
-    """Sharded, work-stealing :func:`repro.enumeration.synthesise`.
+    """The Forbid and Allow suites for ``target``, with Forbid tests of
+    2..``max_events`` events, evaluated through ``pipeline``.
 
-    Byte-identical to the sequential enumerator at any worker count
-    (pinned by ``tests/test_sharding.py``); only wall-clock and the
-    ``scheduler.*`` counters vary.  Model/config overrides are not
-    supported here -- experiments that inject custom models (the RTL
-    bug hunt) keep using the sequential path.
+    Byte-identical at any worker count (pinned by
+    ``tests/test_sharding.py``); only wall-clock and the
+    ``scheduler.*`` counters vary.  With ``time_budget`` (wall-clock
+    seconds, checked per chunk) an overrun marks the result incomplete
+    -- the paper's timeout rows.
     """
-    if pipeline is None:
-        from .pipeline import CheckPipeline
-
-        with CheckPipeline() as own:
-            return synthesise_sharded(target, max_events, time_budget, own)
-
     config = get_config(target)
     result = SynthesisResult(target=target, max_events=max_events)
     started = time.monotonic()
@@ -478,8 +473,7 @@ def synthesise_sharded(
             if not result.complete:
                 break
 
-        # Allow = one-step weakenings of the Forbid tests, deduplicated
-        # (identical to the sequential enumerator's pass).
+        # Allow = one-step weakenings of the Forbid tests, deduplicated.
         with TRACER.span(f"synthesis:{target}:weakenings"):
             seen_allowed: set[tuple] = set()
             for x in result.forbidden:

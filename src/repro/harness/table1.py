@@ -107,7 +107,7 @@ def run_table1(
 
     Hardware validation runs through the batched ``pipeline`` (shared
     synthesis cache, optional multiprocessing fan-out); verdicts are
-    identical to the sequential path by construction.  A privately
+    identical at any worker count by construction.  A privately
     constructed pipeline is closed (worker pool drained) before return;
     with ``checkpoint``, a killed run restarts from the recorded jobs,
     and ``cache`` names a cross-run verdict-cache directory.

@@ -15,10 +15,9 @@ node:
 Profiling is **off by default** and costs one ``PROFILER.enabled``
 attribute check per node evaluation when off.  Enable it with
 ``--profile`` on the harness commands or ``REPRO_PROFILE=1`` in the
-environment (the older ``REPRO_IR_PROFILE`` is honoured as an alias).
-While enabled the executor takes the interpretive path instead of the
-compiled runners, so the profiler sees every node -- profiled runs are
-slower *and more instrumentable* by design.
+environment.  While enabled the executor takes the interpretive path
+instead of the compiled runners, so the profiler sees every node --
+profiled runs are slower *and more instrumentable* by design.
 
 Outputs:
 

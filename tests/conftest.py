@@ -10,15 +10,77 @@ test that mutates process-global state (monkeypatched machines,
 dropped-axiom models, cleared or clobbered intern tables) cannot leak
 into a later test -- the suite must pass in any order
 (``pytest -p no:randomly`` parity).
+
+The autouse ``hermetic_env`` fixture removes every ``REPRO_*`` variable
+:mod:`repro._env` reads, so an ambient worker count, seed or verdict
+cache cannot change what the suite computes.
+
+``golden_synthesis`` checks a synthesis result against
+``tests/data/synthesis_golden.json``: per target and bound, the
+candidate count, completeness, and the ordered sha256 digests of the
+Forbid and Allow executions' ``fingerprint()``.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.enumeration import enumerate_executions, get_config
 from repro.harness import pipeline as _pipeline
 from repro.ir import terms as _terms
+
+#: Every variable repro._env documents.
+_REPRO_ENV = (
+    "REPRO_WORKERS",
+    "REPRO_RETRIES",
+    "REPRO_BACKOFF",
+    "REPRO_SOFT_TIMEOUT",
+    "REPRO_SEED",
+    "REPRO_CACHE",
+    "REPRO_PROFILE",
+)
+
+_GOLDEN = Path(__file__).parent / "data" / "synthesis_golden.json"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_env():
+    """Session-scoped, so module- and session-scoped fixtures run
+    without the ambient variables too."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _REPRO_ENV:
+            patch.delenv(name, raising=False)
+        yield
+
+
+def _digests(executions) -> list[str]:
+    return [
+        hashlib.sha256(repr(x.fingerprint()).encode()).hexdigest()
+        for x in executions
+    ]
+
+
+@pytest.fixture(scope="session")
+def golden_synthesis():
+    """A checker: ``golden_synthesis(result)`` asserts ``result`` is
+    byte-identical to the ledger entry for its target and bound."""
+    golden = json.loads(_GOLDEN.read_text())
+
+    def check(result) -> None:
+        assert {
+            "allowed": _digests(result.allowed),
+            "candidates_examined": result.candidates_examined,
+            "complete": result.complete,
+            "forbidden": _digests(result.forbidden),
+            "max_events": result.max_events,
+            "target": result.target,
+        } == golden[f"{result.target}@{result.max_events}"]
+
+    return check
 
 
 @pytest.fixture(autouse=True)

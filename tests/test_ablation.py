@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.enumeration import synthesise
+from repro.api import synthesize
 from repro.harness.ablation import run_ablation
 
 
 @pytest.fixture(scope="module")
 def x86_ablation():
-    return run_ablation("x86", synthesis=synthesise("x86", 3))
+    return run_ablation("x86", synthesis=synthesize("x86", 3))
 
 
 def test_every_test_attributed(x86_ablation):
@@ -29,7 +29,7 @@ def test_isolation_axioms_dominate_small_x86_suite(x86_ablation):
 
 
 def test_power_ablation_attributes_txn_cancels_rmw():
-    result = run_ablation("power", synthesis=synthesise("power", 2))
+    result = run_ablation("power", synthesis=synthesize("power", 2))
     assert result.total_tests == 2
     assert result.sole_catcher_counts.get("TxnCancelsRMW", 0) == 2
 

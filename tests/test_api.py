@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` facade and the deprecation shims behind it."""
+"""The stable ``repro.api`` facade."""
 
 import warnings
 
@@ -7,12 +7,11 @@ import pytest
 import repro
 from repro import api
 from repro.catalog import figures
-from repro.enumeration import synthesise
 
 
 @pytest.fixture(scope="module")
 def x86_synthesis():
-    return synthesise("x86", 3)
+    return api.synthesize("x86", 3)
 
 
 class TestFacade:
@@ -36,15 +35,11 @@ class TestFacade:
         assert api.check(execution, model) == api.check(execution, "x86tm")
         assert api.check(execution, "x86tm") == model.consistent(execution)
 
-    def test_synthesize_matches_sequential_enumerator(self, x86_synthesis):
-        result = api.synthesize("x86", 3)
-        assert [x.fingerprint() for x in result.forbidden] == [
-            x.fingerprint() for x in x86_synthesis.forbidden
-        ]
-        assert [x.fingerprint() for x in result.allowed] == [
-            x.fingerprint() for x in x86_synthesis.allowed
-        ]
-        assert result.candidates_examined == x86_synthesis.candidates_examined
+    def test_synthesize_matches_sequential_enumerator(
+        self, x86_synthesis, golden_synthesis
+    ):
+        # The ledger records the retired sequential enumerator's suites.
+        golden_synthesis(x86_synthesis)
 
     def test_run_table_table1(self, x86_synthesis):
         table = api.run_table("table1", arch="x86", bound=3)
@@ -66,21 +61,12 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    def test_shims_warn_and_delegate(self, x86_synthesis):
+    def test_retired_shims_are_gone(self):
         import repro.harness as harness
 
-        with pytest.warns(DeprecationWarning, match="run_table1"):
-            table = harness.run_table1("x86", 3, synthesis=x86_synthesis)
-        assert table.rows  # the shim still runs the real driver
-
-    def test_every_driver_alias_is_shimmed(self):
-        import repro.harness as harness
-
+        # The drivers are reached through api.run_table or their modules.
         for name in ("run_table1", "run_table2", "run_figure7", "run_ablation"):
-            shim = getattr(harness, name)
-            # functools.wraps preserves the wrapped driver's identity.
-            assert shim.__name__ == name
-            assert shim.__wrapped__ is not shim
+            assert not hasattr(harness, name)
 
     def test_module_level_driver_imports_do_not_warn(self):
         with warnings.catch_warnings():

@@ -2,8 +2,8 @@
 
 import json
 
+from repro.api import synthesize
 from repro.catalog import classics, figures
-from repro.enumeration import synthesise
 from repro.harness import export_suite
 from repro.litmus import edge_summary, execution_to_litmus, to_dot
 from repro.sim import RandomisedRunner, TSOMachine
@@ -93,7 +93,7 @@ class TestRandomisedRunner:
 
 class TestExport:
     def test_export_suite(self, tmp_path):
-        synthesis = synthesise("x86", 3)
+        synthesis = synthesize("x86", 3)
         manifest = export_suite(synthesis, tmp_path)
         assert manifest["target"] == "x86"
         assert len(manifest["forbid"]) == 4
@@ -106,7 +106,7 @@ class TestExport:
     def test_exported_files_parse_back(self, tmp_path):
         from repro.litmus import parse_litmus
 
-        synthesis = synthesise("x86", 3)
+        synthesis = synthesize("x86", 3)
         export_suite(synthesis, tmp_path, diagrams=False)
         for path in (tmp_path / "forbid").glob("*.litmus"):
             program = parse_litmus(path.read_text())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.catalog import figures
 from repro.enumeration import (
     canonical_key,
@@ -13,7 +14,6 @@ from repro.enumeration import (
     is_minimal_inconsistent,
     partitions,
     restricted_growth_strings,
-    synthesise,
     weakenings,
 )
 from repro.events import ACQ, ExecutionBuilder
@@ -219,7 +219,7 @@ class TestSynthesis:
 
     @pytest.fixture(scope="class")
     def x86_synthesis(self):
-        return synthesise("x86", 3)
+        return synthesize("x86", 3)
 
     def test_x86_forbid_counts_match_paper(self, x86_synthesis):
         by_size = x86_synthesis.forbidden_by_size()
@@ -228,7 +228,7 @@ class TestSynthesis:
         assert len(by_size.get(3, [])) == 4
 
     def test_power_forbid_counts_at_two_events(self):
-        result = synthesise("power", 2)
+        result = synthesize("power", 2)
         # Table 1: Power |E|=2 -> 2 tests (the split-RMW pair).
         assert len(result.forbidden) == 2
         for x in result.forbidden:
@@ -261,7 +261,7 @@ class TestSynthesis:
         assert len(times) == len(x86_synthesis.forbidden)
 
     def test_time_budget_marks_incomplete(self):
-        result = synthesise("power", 4, time_budget=0.3)
+        result = synthesize("power", 4, time_budget=0.3)
         assert not result.complete
 
     def test_transaction_histogram(self, x86_synthesis):

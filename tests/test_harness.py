@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enumeration import synthesise
+from repro.api import synthesize
 from repro.harness import run_figures, run_rtl_bug
 from repro.harness.cli import main as cli_main
 from repro.harness.figure7 import run_figure7
@@ -12,7 +12,7 @@ from repro.harness.table2 import run_table2
 
 @pytest.fixture(scope="module")
 def x86_synthesis():
-    return synthesise("x86", 3)
+    return synthesize("x86", 3)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
 """Sharded enumeration and the work-stealing scheduler.
 
 The load-bearing pin: sharded synthesis is **byte-identical** to the
-sequential enumerator -- same Forbid/Allow suites in the same order,
-same candidate count -- at every worker count, and a checkpointed run
-resumes by replaying recorded chunk ranges instead of recomputing.
+golden ledger (``tests/data/synthesis_golden.json``, recorded from the
+retired sequential enumerator) -- same Forbid/Allow suites in the same
+order, same candidate count -- at every worker count, and a
+checkpointed run resumes by replaying recorded chunk ranges instead of
+recomputing.
 """
 
 import itertools
@@ -20,7 +22,6 @@ from repro.enumeration import (
     shard_signatures,
     shard_skeletons,
     signature_label,
-    synthesise,
 )
 from repro.enumeration.complete import complete_skeleton
 from repro.enumeration.shapes import enumerate_skeletons
@@ -31,11 +32,6 @@ from repro.obs import REGISTRY, reset_observability
 @pytest.fixture(scope="module")
 def config():
     return get_config("x86")
-
-
-@pytest.fixture(scope="module")
-def legacy(config):
-    return synthesise("x86", 3)
 
 
 class TestShardSpace:
@@ -109,27 +105,30 @@ class TestShardSpace:
         assert left + right == full
 
 
-def _assert_identical(legacy, sharded):
-    assert [x.fingerprint() for x in sharded.forbidden] == [
-        x.fingerprint() for x in legacy.forbidden
-    ]
-    assert [x.fingerprint() for x in sharded.allowed] == [
-        x.fingerprint() for x in legacy.allowed
-    ]
-    assert sharded.candidates_examined == legacy.candidates_examined
-    assert sharded.complete == legacy.complete
+#: The (target, bound) pairs recorded in the golden ledger.
+GOLDEN_TARGETS = (("x86", 3), ("sc", 3), ("power", 2), ("armv8", 2), ("cpp", 2))
 
 
 class TestShardedSynthesis:
-    def test_sequential_pipeline_matches_legacy(self, legacy):
+    def test_sequential_pipeline_matches_legacy(self, golden_synthesis):
         with CheckPipeline(workers=1) as pipeline:
-            _assert_identical(legacy, pipeline.synthesis("x86", 3))
+            for target, bound in GOLDEN_TARGETS:
+                golden_synthesis(pipeline.synthesis(target, bound))
 
-    def test_pool_matches_legacy_and_workers_do_not_matter(self, legacy):
+    def test_pool_matches_legacy_and_workers_do_not_matter(
+        self, golden_synthesis
+    ):
         # The acceptance pin: byte-identical folds at every worker count.
         for workers in (2, 4):
             with CheckPipeline(workers=workers) as pipeline:
-                _assert_identical(legacy, pipeline.synthesis("x86", 3))
+                for target, bound in GOLDEN_TARGETS:
+                    golden_synthesis(pipeline.synthesis(target, bound))
+
+    def test_pipeline_argument_is_required(self):
+        from repro.harness.scheduler import synthesise_sharded
+
+        with pytest.raises(TypeError, match="pipeline"):
+            synthesise_sharded("x86", 2, None)
 
     def test_no_steals_at_one_worker(self):
         reset_observability()
@@ -159,27 +158,31 @@ class TestShardedSynthesis:
         assert total == counters["enumeration.x86.bound2.candidates"]
         reset_observability()
 
-    def test_checkpoint_resume_replays_chunks(self, tmp_path, legacy):
+    def test_checkpoint_resume_replays_chunks(
+        self, tmp_path, golden_synthesis
+    ):
         reset_observability()
         path = tmp_path / "synth.jsonl"
         with CheckPipeline(workers=1, checkpoint=path) as pipeline:
-            _assert_identical(legacy, pipeline.synthesis("x86", 3))
+            golden_synthesis(pipeline.synthesis("x86", 3))
         first = REGISTRY.snapshot()["counters"]["scheduler.chunks"]
         assert first > 0
         reset_observability()
         with CheckPipeline(workers=1, checkpoint=path) as pipeline:
-            _assert_identical(legacy, pipeline.synthesis("x86", 3))
+            golden_synthesis(pipeline.synthesis("x86", 3))
         resumed = REGISTRY.snapshot()["counters"].get("scheduler.chunks", 0)
         assert resumed == 0  # every range answered from the checkpoint
         reset_observability()
 
-    def test_verdict_cache_warm_run_skips_verdicts(self, tmp_path, legacy):
+    def test_verdict_cache_warm_run_skips_verdicts(
+        self, tmp_path, golden_synthesis
+    ):
         reset_observability()
         with CheckPipeline(workers=1, cache=tmp_path / "verdicts") as p:
-            _assert_identical(legacy, p.synthesis("x86", 3))
+            golden_synthesis(p.synthesis("x86", 3))
         reset_observability()
         with CheckPipeline(workers=1, cache=tmp_path / "verdicts") as p:
-            _assert_identical(legacy, p.synthesis("x86", 3))
+            golden_synthesis(p.synthesis("x86", 3))
         counters = REGISTRY.snapshot()["counters"]
         lookups = counters["verdict_cache.lookups"]
         hits = counters["verdict_cache.hits"]
