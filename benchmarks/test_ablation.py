@@ -1,9 +1,9 @@
 """Ablation bench: per-axiom attribution of the Forbid suites.
 
-Not a paper table, but the design-choice analysis DESIGN.md calls for:
-quantifies what each TM axiom contributes to the synthesised suites
-(e.g. TxnCancelsRMW solely accounts for the |E|=2 Power tests; the
-isolation axioms dominate the small x86 suite).
+Not a paper table, but a design-choice analysis: it quantifies what
+each TM axiom contributes to the synthesised suites (e.g. TxnCancelsRMW
+solely accounts for the |E|=2 Power tests; the isolation axioms
+dominate the small x86 suite).
 """
 
 from repro.api import synthesize

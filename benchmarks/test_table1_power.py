@@ -6,8 +6,8 @@ unseen ones dominated by LB shapes).
 
 Reproduction: |E|=2 gives exactly the paper's 2 tests (the split-RMW
 TxnCancelsRMW pair) and |E|=4 gives exactly the paper's 60 (run
-separately, ~35 min -- see EXPERIMENTS.md); |E|=3 finds 4 vs. the
-paper's 9, a documented open discrepancy.  The POWER8 oracle sees no
+separately, ~35 min); |E|=3 finds 4 vs. the paper's 9, a documented
+open discrepancy.  The POWER8 oracle sees no
 Forbid test, and hides LB-shaped Allow tests exactly as real silicon
 does.
 """

@@ -16,7 +16,7 @@ from repro.metatheory import check_compilation
 
 # Bound 2 keeps the benchmark suite to seconds; the bound-3 sweep
 # (257,968 C++ source executions, ~90-160 s per target, same verdict)
-# is recorded in EXPERIMENTS.md and enabled with REPRO_BENCH_EVENTS=3+.
+# is enabled with REPRO_BENCH_EVENTS=4 or higher.
 BOUND = 3 if int(os.environ.get("REPRO_BENCH_EVENTS", "3")) >= 4 else 2
 
 

@@ -13,7 +13,7 @@ Reproduction (program-level check over the §8.3 body menu):
   The literal Fig. 6 model cannot forbid the Example 1.1 shape because
   its ``hb`` contains no ``fre`` edge for TxnOrder to lift.  The paper's
   SAT search timed out without a verdict at exactly this event count
-  (9); see EXPERIMENTS.md for the full analysis.
+  (9).
 """
 
 import pytest

@@ -14,7 +14,7 @@ For each architecture this script:
 Expected output: ARMv8 broken (the paper's headline, Example 1.1);
 ARMv8+DMB and x86 sound; Power broken under the literal Fig. 6 model --
 this reproduction's finding (the paper's search timed out with no
-verdict; see EXPERIMENTS.md).
+verdict; benchmarks/test_table2_lock_elision.py explains why).
 
 Run:  python examples/lock_elision_armv8.py
 """

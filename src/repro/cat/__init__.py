@@ -1,9 +1,11 @@
-"""A .cat-style model language and interpreter.
+"""A .cat-style model language, compiled into the relational-algebra IR.
 
 The paper's companion artifact ships its models in herd's ``.cat``
-format; this package provides the same for the reproduction: a lexer,
-parser and evaluator for a cat dialect, plus the five models of the
-paper as ``.cat`` files under ``repro/cat/models/``.
+format; this package provides the same for the reproduction: a lexer
+and parser for a cat dialect, a lowering of parsed models into
+:mod:`repro.ir` (:class:`CatModel`, run by the same executor as the
+native models), plus the five models of the paper as ``.cat`` files
+under ``repro/cat/models/``.
 
 The test suite checks that every bundled ``.cat`` model agrees with its
 native-Python twin on every catalog execution and on exhaustively
@@ -22,7 +24,7 @@ Dialect deviations from herd (documented design choices):
 
 from .ast import Check, Expr, Let, Model
 from .errors import CatError, CatNameError, CatSyntaxError, CatTypeError
-from .eval import CatModel, Evaluator
+from .eval import CatModel
 from .lexer import Token, tokenize
 from .loader import available_cat_models, load_cat_file, load_cat_model
 from .parser import parse
@@ -34,7 +36,6 @@ __all__ = [
     "CatSyntaxError",
     "CatTypeError",
     "Check",
-    "Evaluator",
     "Expr",
     "Let",
     "Model",

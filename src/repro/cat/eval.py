@@ -1,40 +1,33 @@
-"""Evaluator: run a parsed cat model against an execution.
+"""Lowering: compile a parsed cat model into the relational-algebra IR.
 
-Expressions evaluate to either a :class:`~repro.relations.Relation` or a
-set of event ids; the evaluator type-checks operator applications
-(``;`` needs relations, ``[·]`` needs a set, ``|``/``&``/``\\`` need two
-values of the same kind).
+Expressions denote either a relation or a set of event ids; lowering
+type-checks operator applications (``;`` needs relations, ``[·]`` needs
+a set, ``|``/``&``/``\\`` need two values of the same kind) and resolves
+names, once per parsed model, raising :class:`CatNameError` /
+:class:`CatTypeError`.
 
-``let rec`` groups are solved by Kleene iteration from empty values of
-each binding's inferred kind (set or relation): the defining operators
-are all monotone, and the universe is finite, so the least fixpoint is
-reached in finitely many rounds -- this is how the Power ``ppo``
-recursion (ii/ic/ci/cc) executes.
+Each model's AST is lowered once into the IR (:mod:`repro.ir`) by
+:func:`_compile_model` (cached per parsed model) and executed by the
+same planner/executor as the native Python models.  Hash-consing makes
+a ``.cat`` twin's terms unify with its Python twin's wherever they are
+written the same way, so the two front ends literally share
+derived-relation values, ``static:`` interning, and per-constraint
+verdicts on each execution.
 
-Two execution strategies share these semantics:
-
-* :class:`Evaluator` -- a straightforward AST walker, used for one-off
-  runs and as the readable reference.
-* the **lowered** path used by :class:`CatModel` -- each model's AST is
-  lowered once into the relational-algebra IR (:mod:`repro.ir`) by
-  :func:`_compile_model` (cached per parsed model) and executed by the
-  same planner/executor as the native Python models.  Hash-consing
-  makes a ``.cat`` twin's terms unify with its Python twin's wherever
-  they are written the same way, so the two front ends literally share
-  derived-relation values, ``static:`` interning, and per-constraint
-  verdicts on each execution.
+``let rec`` groups become IR fixpoint groups, solved by Kleene
+iteration from empty values of each binding's inferred kind (set or
+relation): the defining operators are all monotone, and the universe is
+finite, so the least fixpoint is reached in finitely many rounds --
+this is how the Power ``ppo`` recursion (ii/ic/ci/cc) executes.
 """
 
 from __future__ import annotations
 
-from ..events import Execution
 from ..models.base import IRModel
 from ..obs import REGISTRY
-from ..relations import Relation
 from .. import ir
 from .ast import (
     Call,
-    Check,
     Complement,
     Diff,
     EmptyRel,
@@ -52,19 +45,6 @@ from .ast import (
     Union,
 )
 from .errors import CatNameError, CatTypeError
-from .stdlib import Value, base_environment, builtin_functions
-
-
-def _require_relation(value: Value, context: str) -> Relation:
-    if not isinstance(value, Relation):
-        raise CatTypeError(f"{context} needs a relation, got a set")
-    return value
-
-
-def _require_set(value: Value, context: str) -> frozenset:
-    if isinstance(value, Relation):
-        raise CatTypeError(f"{context} needs a set, got a relation")
-    return frozenset(value)
 
 
 # ---------------------------------------------------------------------------
@@ -126,137 +106,13 @@ def _rec_seed_kinds(bindings, kinds: dict[str, str]) -> dict[str, str]:
     return {b.name: kinds.get(b.name, "rel") for b in bindings}
 
 
-def _kinds_of_env(env: dict[str, Value]) -> dict[str, str]:
-    return {
-        name: "rel" if isinstance(value, Relation) else "set"
-        for name, value in env.items()
-    }
-
-
-class Evaluator:
-    """Evaluates expressions over one execution's environment."""
-
-    def __init__(self, execution: Execution):
-        self.execution = execution
-        self.env: dict[str, Value] = base_environment(execution)
-        self.functions = builtin_functions(execution)
-
-    # ------------------------------------------------------------------
-
-    def run(self, model: Model) -> dict[str, bool]:
-        """Execute all statements; return axiom name → holds?"""
-        results: dict[str, bool] = {}
-        for statement in model.statements:
-            if isinstance(statement, Let):
-                self.execute_let(statement)
-            else:
-                results[statement.name] = self.check(statement)
-        return results
-
-    def execute_let(self, let: Let) -> None:
-        if not let.recursive:
-            for binding in let.bindings:
-                self.env[binding.name] = self.eval(binding.value)
-            return
-        # Kleene iteration for let rec groups, seeded from each
-        # binding's inferred kind (a recursive *set* definition must
-        # start from the empty set, not an empty relation, or the first
-        # iteration dies with a spurious type error).
-        seeds = _rec_seed_kinds(let.bindings, _kinds_of_env(self.env))
-        empty_rel = Relation.empty(self.execution.eids)
-        for binding in let.bindings:
-            self.env[binding.name] = (
-                empty_rel if seeds[binding.name] == "rel" else frozenset()
-            )
-        while True:
-            changed = False
-            new_values = {
-                binding.name: self.eval(binding.value)
-                for binding in let.bindings
-            }
-            for name, value in new_values.items():
-                if self.env[name] != value:
-                    changed = True
-                self.env[name] = value
-            if not changed:
-                return
-
-    def check(self, check: Check) -> bool:
-        value = _require_relation(self.eval(check.expr), check.kind)
-        if check.kind == "acyclic":
-            return value.is_acyclic()
-        if check.kind == "irreflexive":
-            return value.is_irreflexive()
-        if check.kind == "empty":
-            return value.is_empty()
-        raise ValueError(f"unknown check kind {check.kind!r}")
-
-    # ------------------------------------------------------------------
-
-    def eval(self, expr: Expr) -> Value:
-        if isinstance(expr, Ident):
-            if expr.name not in self.env:
-                raise CatNameError(f"undefined identifier {expr.name!r}")
-            return self.env[expr.name]
-        if isinstance(expr, EmptyRel):
-            return Relation.empty(self.execution.eids)
-        if isinstance(expr, Union):
-            return self._binary(expr.left, expr.right, "|", "union")
-        if isinstance(expr, Inter):
-            return self._binary(expr.left, expr.right, "&", "intersection")
-        if isinstance(expr, Diff):
-            return self._binary(expr.left, expr.right, "-", "difference")
-        if isinstance(expr, Seq):
-            left = _require_relation(self.eval(expr.left), ";")
-            right = _require_relation(self.eval(expr.right), ";")
-            return left.compose(right)
-        if isinstance(expr, TransClosure):
-            return _require_relation(self.eval(expr.operand), "+").transitive_closure()
-        if isinstance(expr, ReflTransClosure):
-            return _require_relation(
-                self.eval(expr.operand), "*"
-            ).reflexive_transitive_closure()
-        if isinstance(expr, Optional):
-            return _require_relation(self.eval(expr.operand), "?").optional()
-        if isinstance(expr, Inverse):
-            return _require_relation(self.eval(expr.operand), "^-1").inverse()
-        if isinstance(expr, Complement):
-            return ~_require_relation(self.eval(expr.operand), "~")
-        if isinstance(expr, SetToRel):
-            elements = _require_set(self.eval(expr.operand), "[·]")
-            return Relation.from_set(elements, self.execution.eids)
-        if isinstance(expr, Call):
-            if expr.function not in self.functions:
-                raise CatNameError(f"undefined function {expr.function!r}")
-            args = [self.eval(a) for a in expr.arguments]
-            return self.functions[expr.function](*args)
-        raise TypeError(f"unknown expression {expr!r}")
-
-    def _binary(self, left_expr: Expr, right_expr: Expr, op: str, name: str) -> Value:
-        left = self.eval(left_expr)
-        right = self.eval(right_expr)
-        if isinstance(left, Relation) != isinstance(right, Relation):
-            raise CatTypeError(f"{name} of a set and a relation")
-        if isinstance(left, Relation):
-            if op == "|":
-                return left | right
-            if op == "&":
-                return left & right
-            return left - right
-        if op == "|":
-            return left | right
-        if op == "&":
-            return left & right
-        return left - right
-
-
 # ---------------------------------------------------------------------------
-# The lowered path: AST → IR plan, once per parsed model
+# AST → IR plan, once per parsed model
 # ---------------------------------------------------------------------------
 
 #: Builtin function identifiers, mapped to IR combinators.  The IR
-#: builders carry the same kind discipline as the runtime builtins, so
-#: misuse surfaces as a CatTypeError at lowering time.
+#: builders carry the kind discipline, so misuse surfaces as a
+#: CatTypeError at lowering time.
 _IR_FUNCTIONS = {
     "weaklift": ir.weaklift,
     "stronglift": ir.stronglift,
@@ -267,10 +123,9 @@ _IR_FUNCTIONS = {
 
 
 def _base_term_env() -> dict[str, ir.Term]:
-    """The builtin identifier environment as IR leaves.  The vocabulary
-    is exactly :data:`repro.cat.stdlib`'s: every base relation and event
-    set the runtime environment provides has an IR leaf of the same
-    name."""
+    """The builtin identifier environment: one IR leaf per name of the
+    base vocabulary (:data:`repro.ir.BASE_RELATIONS` and
+    :data:`repro.ir.EVENT_SETS`)."""
     env: dict[str, ir.Term] = {
         name: ir.rel(name) for name in ir.BASE_RELATIONS
     }
@@ -282,8 +137,7 @@ def _lower_expr(expr: Expr, env: dict[str, ir.Term]) -> ir.Term:
     """Translate an expression into a hash-consed IR term.
 
     Name resolution and kind checking happen here, once per model,
-    instead of on every evaluation; the error classes and message texts
-    are the :class:`Evaluator`'s.
+    instead of on every evaluation.
     """
     if isinstance(expr, Ident):
         term = env.get(expr.name)
@@ -327,9 +181,11 @@ def _lower_let(let: Let, env: dict[str, ir.Term]) -> None:
             env[binding.name] = _lower_expr(binding.value, env)
         return
     # A let rec group becomes one IR fixpoint group: each binding is a
-    # de Bruijn variable inside the bodies, and the executor runs the
-    # same kind-seeded Kleene iteration as the walker (with the group's
-    # result interned across executions on its input values).
+    # de Bruijn variable inside the bodies, and the executor runs a
+    # Kleene iteration seeded from each binding's inferred kind (a
+    # recursive *set* definition must start from the empty set, not an
+    # empty relation), with the group's result interned across
+    # executions on its input values.
     seeds = _rec_seed_kinds(
         let.bindings, {name: term.kind for name, term in env.items()}
     )
@@ -387,7 +243,7 @@ def _compile_model(model: Model) -> ir.Plan:
                     )
                 )
     except ir.IRTypeError as exc:
-        # The IR builders use the evaluator's message texts verbatim.
+        # The IR builders' message texts are the cat language's.
         raise CatTypeError(str(exc)) from None
     plan = ir.compile_model(model.name, constraints)
     _COMPILED_CACHE[model] = plan

@@ -163,9 +163,8 @@ def mp_txn_reader(fence: str = "dmb") -> Execution:
 
     Under Power+TM the ``sync`` variant is *allowed* by the literal
     Fig. 6 model: Power's ``hb`` is ``rfe? ; ihb ; rfe?`` and contains
-    no ``fre`` edge, so the TxnOrder lift cannot close the cycle.  This
-    structural difference between Fig. 6 and Fig. 8 is recorded in
-    EXPERIMENTS.md.
+    no ``fre`` edge, so the TxnOrder lift cannot close the cycle -- a
+    structural difference between Fig. 6 and Fig. 8.
     """
     b = ExecutionBuilder()
     t0, t1 = b.thread(), b.thread()

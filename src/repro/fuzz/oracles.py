@@ -9,7 +9,7 @@ cross-checked:
   runner (:mod:`repro.ir.codegen`);
 * **interp** -- ``ir.violated_axioms``, the interpretive per-constraint
   executor (it never uses the runner);
-* **reference** -- per-constraint :func:`repro.ir.fallback_value`, the
+* **reference** -- per-constraint :func:`repro.ir.reference_holds`, the
   ``Relation``-level reference semantics;
 * **cat** -- the bundled ``.cat`` twin, lowered through the same IR but
   from independently-written source.
@@ -88,18 +88,9 @@ class FuzzCase:
 
 def _reference_violations(plan, execution: Execution) -> list[str]:
     """Violated axiom names under the Relation-level reference path."""
-    out = []
-    for constraint in plan.constraints:
-        value = ir.fallback_value(constraint.term, execution)
-        if constraint.kind == "acyclic":
-            ok = value.is_acyclic()
-        elif constraint.kind == "irreflexive":
-            ok = value.is_irreflexive()
-        else:
-            ok = value.is_empty()
-        if not ok:
-            out.append(constraint.name)
-    return out
+    return [
+        c.name for c in plan.constraints if not ir.reference_holds(c, execution)
+    ]
 
 
 def _sim_skip_reason(case: FuzzCase) -> str | None:

@@ -14,6 +14,7 @@ from .executor import (
     consistent,
     evaluate,
     fallback_value,
+    reference_holds,
     violated_axioms,
 )
 from .plan import Constraint, Plan, acyclic, compile_model, empty_c, irreflexive
@@ -79,6 +80,7 @@ __all__ = [
     "plan_digest",
     "plus",
     "range_",
+    "reference_holds",
     "rel",
     "seq",
     "setrel",

@@ -1,8 +1,10 @@
 """Plan → specialised Python runner (the executor's codegen backend).
 
-The interpretive executor pays per-node dispatch, memo-dict traffic, and
-counter increments on every candidate execution -- measurable against
-the hand-fused kernels it replaced.  Since a plan's term DAG is fixed at
+The interpretive executor (``executor._eval``/``_compute``) pays
+per-node dispatch, memo-dict traffic, and counter increments on every
+candidate execution -- measurable against the hand-fused kernels it
+replaced.  The runner is that op table emitted as source, kept as a
+fast path, not a second semantics.  Since a plan's term DAG is fixed at
 compile time, we instead emit one straight-line Python function per plan
 and ``exec`` it once: every composite node becomes a local variable,
 computed at its first *executed* demand site behind an ``is _M`` guard
@@ -20,11 +22,12 @@ Runners implement only the fresh-execution fast path: they assume no
 prior per-execution state and record each constraint verdict in the
 state's memo as they go, so later ``axiom_thunks``/``violated_axioms``
 calls (and repeat ``consistent`` calls) read the same verdicts through
-the interpretive engine.  Static nodes still resolve through the
-context/intern fetch the interpreter uses, so skeleton adoption and the
-cache counters behave identically.  Anything off the fast path -- prior
-state, profiling builds, mixed-universe executions -- stays on the
-interpreter, which remains the reference semantics.
+the interpretive engine.  Static nodes and fixpoint groups still
+resolve through the interpreter's own fetch and iteration
+(``_static_fetch``, ``_eval_fix``), so skeleton adoption and the cache
+counters behave identically.  Anything off the fast path -- prior
+state, profiling builds -- stays on the interpreter; mixed-universe
+executions go to the Relation-level reference (``ir.reference_holds``).
 
 The emitted code grows with the *tree* expansion of the plan (guarded
 blocks are re-emitted at every demand site), which stays small because

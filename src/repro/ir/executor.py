@@ -8,9 +8,9 @@ closures).  The executor works directly over adjacency-bitset rows
 layers of caching, all derived mechanically from term structure:
 
 * **per-execution memo** -- every node value is stored under its term
-  ``uid`` in a dict living in the execution's
-  :class:`~repro.relations.RelationContext`, so axioms (and different
-  models checking the same execution) share subterm values;
+  ``uid`` in a dict living on the execution (its ``_State``), so axioms
+  (and different models checking the same execution) share subterm
+  values;
 * **skeleton adoption** -- static nodes are fetched through
   ``context.get("static:ir.n{uid}", ...)``, the prefix
   :meth:`Execution.adopt_skeleton_caches` copies across rf/co
@@ -32,10 +32,20 @@ transactional machinery on transaction-free executions -- here it falls
 out of the algebra.  Constraints run in the plan's cheapest-first order
 with early exit (counted by ``ir.exec.constraint_short_circuits``).
 
-Executions whose primitive relations live in mixed universes
-(hand-built tests) cannot be row-aligned; the executor transparently
-falls back to a Relation-level evaluation of the same terms, which is
-also the reference implementation the property tests compare against.
+One evaluator per purpose:
+
+* :func:`_compute` is the one row-level op table.  :func:`_eval` wraps
+  it with the node memo and the profiler, and ``let rec`` fixpoint
+  rounds run through it too, on a per-round view of the state;
+* the codegen runner (:mod:`repro.ir.codegen`) is the same op table
+  emitted as straight-line source per plan -- the synthesis fast path;
+* :func:`_rel_apply` is the Relation-level reference semantics
+  (:func:`fallback_value`, :func:`reference_holds`).  It is what the
+  property tests and the fuzzer compare the row engine against, and
+  the live path for executions whose primitive relations live in mixed
+  universes (hand-built tests) and so cannot be row-aligned.
+
+:data:`_ACCESSORS` is the base vocabulary both engines read.
 
 Profiling: when :data:`~repro.obs.profile.PROFILER` is enabled
 (``--profile`` / ``REPRO_PROFILE=1``), evaluation takes the interpretive
@@ -49,7 +59,7 @@ one ``PROFILER.enabled`` attribute check per node evaluation.
 from __future__ import annotations
 
 import time
-from operator import and_ as _and, or_ as _or
+from operator import and_ as _and, attrgetter, or_ as _or
 
 from ..events import NA as _NA_TAG
 from ..obs import REGISTRY
@@ -81,53 +91,55 @@ class _Misaligned(Exception):
     event universe (hand-built executions): use the Relation fallback."""
 
 
-#: Base-relation name → Execution attribute (identical to the cat
-#: stdlib's environment; ``id`` is synthesised from the universe).
-_REL_ATTRS = {
-    "po": "po",
-    "poimm": "po_imm",
-    "poloc": "poloc",
-    "sloc": "sloc",
-    "rf": "rf",
-    "rfe": "rfe",
-    "rfi": "rfi",
-    "co": "co",
-    "coe": "coe",
-    "coi": "coi",
-    "fr": "fr",
-    "fre": "fre",
-    "fri": "fri",
-    "com": "com",
-    "come": "come",
-    "addr": "addr",
-    "ctrl": "ctrl",
-    "data": "data",
-    "rmw": "rmw",
-    "deps": "deps",
-    "stxn": "stxn",
-    "stxnat": "stxnat",
-    "tfence": "tfence",
-    "mfence": "mfence",
-    "sync": "sync",
-    "lwsync": "lwsync",
-    "isync": "isync",
-    "dmb": "dmb",
-    "dmbld": "dmbld",
-    "dmbst": "dmbst",
-    "isb": "isb",
-}
-
-#: Event-set name → value (identical to the cat stdlib's environment).
-_SET_FNS = {
-    "EV": lambda x: x.eids,
-    "R": lambda x: x.reads,
-    "W": lambda x: x.writes,
-    "F": lambda x: x.fences,
-    "M": lambda x: x.memory_events,
-    "ACQ": lambda x: x.acq,
-    "REL": lambda x: x.rel,
-    "SC": lambda x: x.sc_events,
-    "ATO": lambda x: x.atomics,
+#: The base vocabulary: each relation and event-set name → its accessor
+#: on an :class:`~repro.events.Execution` (a Relation, or a set of event
+#: ids).  The row engine (:func:`_base_rows`, :func:`_set_mask`) and the
+#: Relation-level reference (:func:`_rel_apply`) both read it, fetching
+#: only the names a term uses.  ``id`` is absent: each engine builds the
+#: identity from the execution's universe.
+_ACCESSORS = {
+    # relations
+    "po": attrgetter("po"),
+    "poimm": attrgetter("po_imm"),
+    "poloc": attrgetter("poloc"),
+    "sloc": attrgetter("sloc"),
+    "rf": attrgetter("rf"),
+    "rfe": attrgetter("rfe"),
+    "rfi": attrgetter("rfi"),
+    "co": attrgetter("co"),
+    "coe": attrgetter("coe"),
+    "coi": attrgetter("coi"),
+    "fr": attrgetter("fr"),
+    "fre": attrgetter("fre"),
+    "fri": attrgetter("fri"),
+    "com": attrgetter("com"),
+    "come": attrgetter("come"),
+    "addr": attrgetter("addr"),
+    "ctrl": attrgetter("ctrl"),
+    "data": attrgetter("data"),
+    "rmw": attrgetter("rmw"),
+    "deps": attrgetter("deps"),
+    "stxn": attrgetter("stxn"),
+    "stxnat": attrgetter("stxnat"),
+    "tfence": attrgetter("tfence"),
+    "mfence": attrgetter("mfence"),
+    "sync": attrgetter("sync"),
+    "lwsync": attrgetter("lwsync"),
+    "isync": attrgetter("isync"),
+    "dmb": attrgetter("dmb"),
+    "dmbld": attrgetter("dmbld"),
+    "dmbst": attrgetter("dmbst"),
+    "isb": attrgetter("isb"),
+    # event sets
+    "EV": attrgetter("eids"),
+    "R": attrgetter("reads"),
+    "W": attrgetter("writes"),
+    "F": attrgetter("fences"),
+    "M": attrgetter("memory_events"),
+    "ACQ": attrgetter("acq"),
+    "REL": attrgetter("rel"),
+    "SC": attrgetter("sc_events"),
+    "ATO": attrgetter("atomics"),
     "NA": lambda x: frozenset(
         e.eid for e in x.events if e.is_memory_access and _NA_TAG in e.tags
     ),
@@ -189,6 +201,15 @@ class _State:
             rels = self._rels = {}
         return rels
 
+    def view(self, vals: dict) -> "_State":
+        """This state with ``vals`` as its node memo (the scope of one
+        fixpoint round, see :func:`_fix_iterate`)."""
+        view = _State.__new__(_State)
+        for slot in _State.__slots__:
+            setattr(view, slot, getattr(self, slot))
+        view.vals = vals
+        return view
+
     def __reduce__(self):
         # A cache: serialise as "rebuild empty for this execution" so
         # checkpoints stay small (mirrors RelationContext.__reduce__).
@@ -216,23 +237,12 @@ def _eval(st: _State, t: Term):
         if PROFILER.enabled:
             PROFILER.hit(t)
         return v
-    if PROFILER.enabled:
-        return _eval_profiled(st, t)
-    if t.intern_root:
-        v = _static_fetch(st, t)
-    elif t.op == "fix":
-        v = _eval_fix(st, t)
-    else:
-        v = _compute(st, t)
-    vals[t.uid] = v
-    return v
-
-
-def _eval_profiled(st: _State, t: Term):
-    """The memo-miss path under profiling: time the node (self time via
-    the profiler's child-time stack) and record the result cardinality."""
-    PROFILER.begin()
-    started = time.perf_counter()
+    # Under profiling the miss is timed (self time via the profiler's
+    # child-time stack) and its result cardinality recorded.
+    profiling = PROFILER.enabled
+    if profiling:
+        PROFILER.begin()
+        started = time.perf_counter()
     try:
         if t.intern_root:
             v = _static_fetch(st, t)
@@ -241,10 +251,12 @@ def _eval_profiled(st: _State, t: Term):
         else:
             v = _compute(st, t)
     except BaseException:
-        PROFILER.abort(time.perf_counter() - started)
+        if profiling:
+            PROFILER.abort(time.perf_counter() - started)
         raise
-    st.vals[t.uid] = v
-    PROFILER.end(t, time.perf_counter() - started, v)
+    vals[t.uid] = v
+    if profiling:
+        PROFILER.end(t, time.perf_counter() - started, v)
     return v
 
 
@@ -295,46 +307,38 @@ def _eval_fix(st: _State, t: Term):
         invals = tuple(_eval(st, inp) for inp in group.inputs)
         results = global_intern(
             ("irfix", group.uid, st.n) + invals,
-            lambda: _fix_iterate(st, group),
+            lambda: _fix_iterate(st, group, invals),
         )
         st.vals[gkey] = results
     return results[t.args[1]]
 
 
-def _fix_iterate(st: _State, group) -> tuple:
-    """Kleene iteration from the kind-appropriate bottoms (the same
-    Jacobi scheme as the cat evaluator's ``let rec`` loop)."""
+def _fix_iterate(st: _State, group, invals: tuple) -> tuple:
+    """Kleene iteration from the kind-appropriate bottoms.
+
+    Each round evaluates the bodies through :func:`_eval` on a view of
+    ``st`` whose memo holds only the group's inputs (evaluated by the
+    caller) and its variables bound to the current iterate; every
+    variable-free child of a variable-containing node is an input
+    (``terms._inputs_of``), so no other value is needed, and the
+    variable-containing nodes memoise per round."""
+    inputs = {inp.uid: v for inp, v in zip(group.inputs, invals)}
     cur = [st.zero if kind == "rel" else 0 for kind in group.kinds]
-    bodies = group.bodies
     while True:
-        memo: dict = {}
-        nxt = [_eval_open(st, body, cur, memo) for body in bodies]
+        vals = dict(inputs)
+        for variable in group.variables:
+            vals[variable.uid] = cur[variable.args[0]]
+        view = st.view(vals)
+        nxt = [_eval(view, body) for body in group.bodies]
         if nxt == cur:
             return tuple(nxt)
         cur = nxt
 
 
-def _eval_open(st: _State, t: Term, varvals: list, memo: dict):
-    """Evaluate inside a fix iteration: variables resolve to the current
-    iterate, and variable-containing nodes memoise per *iteration* (their
-    value changes between rounds); variable-free subterms route to the
-    ordinary persistent evaluator."""
-    if not t.has_var:
-        return _eval(st, t)
-    if t.op == "var":
-        return varvals[t.args[0]]
-    v = memo.get(t.uid, _MISS)
-    if v is not _MISS:
-        return v
-    v = _apply(st, t, lambda child: _eval_open(st, child, varvals, memo))
-    memo[t.uid] = v
-    return v
-
-
 def _base_rows(st: _State, name: str):
     if name == "id":
         return st.id_rows
-    relation = getattr(st.x, _REL_ATTRS[name])
+    relation = _ACCESSORS[name](st.x)
     if relation._uni is st.uni:
         return relation._rows
     try:
@@ -346,7 +350,7 @@ def _base_rows(st: _State, name: str):
 def _set_mask(st: _State, name: str) -> int:
     index = st.uni.index
     mask = 0
-    for eid in _SET_FNS[name](st.x):
+    for eid in _ACCESSORS[name](st.x):
         i = index.get(eid)
         if i is None:
             raise _Misaligned(name)
@@ -354,14 +358,35 @@ def _set_mask(st: _State, name: str) -> int:
     return mask
 
 
-def _compute(st: _State, t: Term):
-    """Compute one node from its children on the persistent path.
+def _domain_mask(rows) -> int:
+    mask = 0
+    for i, row in enumerate(rows):
+        if row:
+            mask |= 1 << i
+    return mask
 
-    This is the hot-loop twin of :func:`_apply` (which keeps the same op
-    semantics for the *open* evaluator inside fix iterations): children
-    recurse straight into :func:`_eval` and the n-ary folds run through
-    C-level ``map``.  Any semantic change here must be mirrored in
-    ``_apply`` -- the property tests compare both against the
+
+def _range_mask(rows) -> int:
+    mask = 0
+    for row in rows:
+        mask |= row
+    return mask
+
+
+def _has_reflexive(rows) -> bool:
+    for i, row in enumerate(rows):
+        if (row >> i) & 1:
+            return True
+    return False
+
+
+def _compute(st: _State, t: Term):
+    """Compute one node from its children: the row-level op table.
+
+    Children recurse straight into :func:`_eval` and the n-ary folds run
+    through C-level ``map``; fixpoint rounds run here too, on a per-round
+    view of the state.  The codegen emitter spells the same semantics as
+    source, and the property tests compare both against the
     Relation-level reference."""
     _NODE_EVALS.inc()
     op = t.op
@@ -424,120 +449,37 @@ def _compute(st: _State, t: Term):
         return rtc_rows_cached(st.uni, _eval(st, args[0]))
     if op == "set":
         return _set_mask(st, args[0])
-    return _apply_rest(st, t, op, args, lambda child: _eval(st, child))
+    return _apply_rest(st, t, op, args)
 
 
-def _apply_rest(st: _State, t: Term, op: str, args, ev):
-    """The cold tail of the op vocabulary, shared by both evaluators."""
+def _apply_rest(st: _State, t: Term, op: str, args):
+    """The cold tail of the op vocabulary."""
     if op == "inv":
-        return tuple(transpose_rows(ev(args[0])))
+        return tuple(transpose_rows(_eval(st, args[0])))
     if op == "comp":
         full = st.uni.full_mask
-        return tuple(~row & full for row in ev(args[0]))
+        return tuple(~row & full for row in _eval(st, args[0]))
     if op == "setrel":
-        mask = ev(args[0])
+        mask = _eval(st, args[0])
         return tuple((1 << i) if (mask >> i) & 1 else 0 for i in range(st.n))
     if op == "cross":
-        sources = ev(args[0])
+        sources = _eval(st, args[0])
         if not sources:
             return st.zero
-        targets = ev(args[1])
+        targets = _eval(st, args[1])
         if not targets:
             return st.zero
         return tuple(targets if (sources >> i) & 1 else 0 for i in range(st.n))
     if op == "domain":
-        rows = ev(args[0])
-        mask = 0
-        for i, row in enumerate(rows):
-            if row:
-                mask |= 1 << i
-        return mask
+        return _domain_mask(_eval(st, args[0]))
     if op == "range":
-        mask = 0
-        for row in ev(args[0]):
-            mask |= row
-        return mask
+        return _range_mask(_eval(st, args[0]))
     if op == "empty":
         return st.zero if t.kind == "rel" else 0
     if op == "fix":
+        # An interned static fix node, computed under its intern key.
         return _eval_fix(st, t)
     raise AssertionError(f"unexpected op {op!r}")  # pragma: no cover
-
-
-def _apply(st: _State, t: Term, ev):
-    """Compute one node from its children (``ev`` evaluates a child --
-    used by the open evaluator inside fix iterations; the persistent
-    path runs the specialised :func:`_compute`)."""
-    _NODE_EVALS.inc()
-    op = t.op
-    if op == "base":
-        return _base_rows(st, t.args[0])
-    if op == "set":
-        return _set_mask(st, t.args[0])
-    if op == "union":
-        if t.kind == "rel":
-            parts = [ev(child) for child in t.args]
-            first = parts[0]
-            if len(parts) == 2:
-                return tuple(a | b for a, b in zip(first, parts[1]))
-            out = []
-            for column in zip(*parts):
-                acc = 0
-                for row in column:
-                    acc |= row
-                out.append(acc)
-            return tuple(out)
-        mask = 0
-        for child in t.args:
-            mask |= ev(child)
-        return mask
-    if op == "inter":
-        # Children are cost-sorted at construction; stop as soon as the
-        # accumulator goes empty (``rmw ∩ ...`` on rmw-free executions).
-        if t.kind == "rel":
-            acc = ev(t.args[0])
-            if not any(acc):
-                return st.zero
-            for child in t.args[1:]:
-                rows = ev(child)
-                acc = tuple(a & b for a, b in zip(acc, rows))
-                if not any(acc):
-                    return st.zero
-            return acc
-        mask = ev(t.args[0])
-        for child in t.args[1:]:
-            if not mask:
-                return 0
-            mask &= ev(child)
-        return mask
-    if op == "diff":
-        left, right = t.args
-        if t.kind == "rel":
-            a = ev(left)
-            if not any(a):
-                return st.zero
-            b = ev(right)
-            if not any(b):
-                return a
-            return tuple(p & ~q for p, q in zip(a, b))
-        return ev(left) & ~ev(right)
-    if op == "seq":
-        left, right = t.args
-        a = ev(left)
-        if not any(a):
-            return st.zero
-        b = ev(right)
-        if not any(b):
-            return st.zero
-        return tuple(compose_rows(a, b))
-    if op == "plus":
-        return closure_rows_cached(st.uni, ev(t.args[0]))
-    if op == "star":
-        return rtc_rows_cached(st.uni, ev(t.args[0]))
-    if op == "opt":
-        rows = ev(t.args[0])
-        return tuple(row | (1 << i) for i, row in enumerate(rows))
-    return _apply_rest(st, t, op, t.args, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +493,7 @@ def _holds(st: _State, constraint: Constraint) -> bool:
     if kind == "acyclic":
         return acyclic_rows_cached(st.uni, rows)
     if kind == "irreflexive":
-        for i, row in enumerate(rows):
-            if (row >> i) & 1:
-                return False
-        return True
+        return not _has_reflexive(rows)
     return not any(rows)
 
 
@@ -585,28 +524,6 @@ def _checked(st: _State, plan: Plan, constraint: Constraint) -> bool:
 # ---------------------------------------------------------------------------
 # Compiled runners (repro.ir.codegen)
 # ---------------------------------------------------------------------------
-
-
-def _domain_mask(rows) -> int:
-    mask = 0
-    for i, row in enumerate(rows):
-        if row:
-            mask |= 1 << i
-    return mask
-
-
-def _range_mask(rows) -> int:
-    mask = 0
-    for row in rows:
-        mask |= row
-    return mask
-
-
-def _has_reflexive(rows) -> bool:
-    for i, row in enumerate(rows):
-        if (row >> i) & 1:
-            return True
-    return False
 
 
 #: Primitives handed to generated runners (see ``codegen.build``).
@@ -667,34 +584,19 @@ def fallback_value(term: Term, x):
 
 def _rel_eval(t: Term, x, memo: dict):
     v = memo.get(t.uid, _MISS)
-    if v is not _MISS:
-        return v
-    v = _rel_apply(t, x, memo, None, None)
-    memo[t.uid] = v
+    if v is _MISS:
+        v = memo[t.uid] = _rel_apply(t, x, memo)
     return v
 
 
-def _rel_open(t: Term, x, memo: dict, varvals: list, itermemo: dict):
-    if not t.has_var:
-        return _rel_eval(t, x, memo)
-    if t.op == "var":
-        return varvals[t.args[0]]
-    v = itermemo.get(t.uid, _MISS)
-    if v is not _MISS:
-        return v
-    v = _rel_apply(t, x, memo, varvals, itermemo)
-    itermemo[t.uid] = v
-    return v
-
-
-def _rel_apply(t: Term, x, memo: dict, varvals, itermemo):
-    if varvals is None:
-        ev = lambda child: _rel_eval(child, x, memo)
-    else:
-        ev = lambda child: _rel_open(child, x, memo, varvals, itermemo)
+def _rel_apply(t: Term, x, memo: dict):
+    ev = lambda child: _rel_eval(child, x, memo)
     op = t.op
     if op in ("base", "set"):
-        return RelationContext.of(x).cat_environment()[t.args[0]]
+        name = t.args[0]
+        if name == "id":
+            return Relation.identity(x.eids)
+        return _ACCESSORS[name](x)
     if op == "union":
         value = ev(t.args[0])
         for child in t.args[1:]:
@@ -730,19 +632,21 @@ def _rel_apply(t: Term, x, memo: dict, varvals, itermemo):
     if op == "empty":
         return Relation.empty(x.eids) if t.kind == "rel" else frozenset()
     if op == "fix":
+        # Kleene iteration; each round's memo holds the group's inputs
+        # and its variables bound to the current iterate.
         group = t.group
         results = memo.get(("g", group.uid), _MISS)
         if results is _MISS:
+            inputs = {inp.uid: ev(inp) for inp in group.inputs}
             cur = [
                 Relation.empty(x.eids) if kind == "rel" else frozenset()
                 for kind in group.kinds
             ]
             while True:
-                rounds: dict = {}
-                nxt = [
-                    _rel_open(body, x, memo, cur, rounds)
-                    for body in group.bodies
-                ]
+                rounds = dict(inputs)
+                for variable in group.variables:
+                    rounds[variable.uid] = cur[variable.args[0]]
+                nxt = [_rel_eval(body, x, rounds) for body in group.bodies]
                 if nxt == cur:
                     break
                 cur = nxt
@@ -752,13 +656,25 @@ def _rel_apply(t: Term, x, memo: dict, varvals, itermemo):
     raise AssertionError(f"unexpected op {op!r}")  # pragma: no cover
 
 
-def _fallback_check(constraint: Constraint, x) -> bool:
+def reference_holds(constraint: Constraint, x) -> bool:
+    """A constraint's verdict by the Relation-level reference semantics
+    (no row kernels, no codegen, no verdict memo)."""
     value = fallback_value(constraint.term, x)
     if constraint.kind == "acyclic":
         return value.is_acyclic()
     if constraint.kind == "irreflexive":
         return value.is_irreflexive()
     return value.is_empty()
+
+
+def _verdict(st: _State, plan: Plan, constraint: Constraint) -> bool:
+    """One constraint's verdict on the row engine, or by the reference
+    when the execution's primitives cannot be row-aligned."""
+    try:
+        return _checked(st, plan, constraint)
+    except _Misaligned:
+        _FALLBACKS.inc()
+        return reference_holds(constraint, st.x)
 
 
 # ---------------------------------------------------------------------------
@@ -770,17 +686,10 @@ def consistent(plan: Plan, x) -> bool:
     """All constraints hold, evaluated cheapest-first with early exit."""
     st = _state(x)
     scheduled = plan.scheduled
-    try:
-        if PROFILER.enabled:
-            # Interpretive path only: the compiled runners fold node
-            # evaluation into opaque generated code, which would hide
-            # exactly the per-node structure being profiled.
-            for position, constraint in enumerate(scheduled):
-                if not _checked(st, plan, constraint):
-                    if position + 1 < len(scheduled):
-                        _SHORT_CIRCUITS.inc()
-                    return False
-            return True
+    # Under profiling every check takes the interpretive loop below: the
+    # compiled runners fold node evaluation into opaque generated code,
+    # which would hide exactly the per-node structure being profiled.
+    if not PROFILER.enabled:
         vals = st.vals
         if vals:
             # Repeat calls answer from the verdict memo (a False verdict
@@ -801,22 +710,16 @@ def consistent(plan: Plan, x) -> bool:
         runner = _runner_for(plan)
         if runner is not False:
             _FAST_RUNS.inc()
-            return runner(st)
-        remaining = len(scheduled)
-        for constraint in scheduled:
-            remaining -= 1
-            v = vals.get(constraint.vkey, _MISS)
-            if v is _MISS:
-                v = _holds(st, constraint)
-                vals[constraint.vkey] = v
-            if not v:
-                if remaining:
-                    _SHORT_CIRCUITS.inc()
-                return False
-        return True
-    except _Misaligned:
-        _FALLBACKS.inc()
-        return all(_fallback_check(c, x) for c in plan.constraints)
+            try:
+                return runner(st)
+            except _Misaligned:
+                pass  # the loop below decides by the reference
+    for position, constraint in enumerate(scheduled):
+        if not _verdict(st, plan, constraint):
+            if position + 1 < len(scheduled):
+                _SHORT_CIRCUITS.inc()
+            return False
+    return True
 
 
 def violated_axioms(plan: Plan, x) -> list[str]:
@@ -824,16 +727,7 @@ def violated_axioms(plan: Plan, x) -> list[str]:
     the executor's per-constraint verdicts (no separate diagnostic
     path)."""
     st = _state(x)
-    names = []
-    for constraint in plan.constraints:
-        try:
-            ok = _checked(st, plan, constraint)
-        except _Misaligned:
-            _FALLBACKS.inc()
-            ok = _fallback_check(constraint, x)
-        if not ok:
-            names.append(constraint.name)
-    return names
+    return [c.name for c in plan.constraints if not _verdict(st, plan, c)]
 
 
 def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
@@ -841,18 +735,9 @@ def axiom_thunks(plan: Plan, x) -> list[tuple[str, "callable"]]:
     through the executor's verdict memo (so the thunk view and the fast
     path can never disagree)."""
     st = _state(x)
-
-    def thunk_for(constraint: Constraint):
-        def thunk() -> bool:
-            try:
-                return _checked(st, plan, constraint)
-            except _Misaligned:
-                _FALLBACKS.inc()
-                return _fallback_check(constraint, x)
-
-        return thunk
-
-    return [(c.name, thunk_for(c)) for c in plan.constraints]
+    return [
+        (c.name, lambda c=c: _verdict(st, plan, c)) for c in plan.constraints
+    ]
 
 
 def evaluate(term: Term, x):

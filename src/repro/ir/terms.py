@@ -33,10 +33,9 @@ per candidate.  This mechanically recreates what the hand-fused kernels
 called ``_hb_static``/``_dob_static``/``_rs_static``.
 
 Kind discipline.  Terms are either relations (``"rel"``) or event sets
-(``"set"``); builders enforce the same typing rules as the cat
-evaluator and raise :class:`IRTypeError` with the evaluator's message
-text, so ``cat/eval.py`` can re-raise them as ``CatTypeError``
-verbatim.
+(``"set"``); builders enforce the cat language's typing rules and raise
+:class:`IRTypeError` with its message text, so ``cat/eval.py`` can
+re-raise them as ``CatTypeError`` verbatim.
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ _INTERN_MIN_COST = 8
 class IRTypeError(TypeError):
     """A set/relation kind mismatch while building a term.
 
-    Message text is kept identical to the cat evaluator's
-    ``CatTypeError`` strings so lowering can translate by re-raising
-    with ``str(exc)`` unchanged.
+    The message text is the cat language's, so lowering translates it
+    to a ``CatTypeError`` by re-raising ``str(exc)`` unchanged.
     """
 
 
@@ -223,14 +221,16 @@ class FixGroup:
     group's value is a pure function of their values, which is what the
     executor keys its cross-execution interning on (generalising the
     hand-written Power ``ppo`` fixpoint cache keyed on ii0/ci0/cc0).
+    ``variables`` are the ``var`` terms the bodies mention.
     """
 
-    __slots__ = ("bodies", "kinds", "uid", "inputs", "fixes")
+    __slots__ = ("bodies", "kinds", "uid", "inputs", "variables", "fixes")
 
     bodies: tuple[Term, ...]
     kinds: tuple[str, ...]
     uid: int
     inputs: tuple[Term, ...]
+    variables: tuple[Term, ...]
     fixes: tuple[Term, ...]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -564,21 +564,26 @@ def range_(operand: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _inputs_of(bodies: tuple[Term, ...]) -> tuple[Term, ...]:
-    """The maximal variable-free subterms of a fix group's bodies."""
+def _inputs_of(
+    bodies: tuple[Term, ...],
+) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The maximal variable-free subterms of a fix group's bodies, and
+    the variables the bodies mention."""
     found: dict[int, Term] = {}
+    variables: dict[int, Term] = {}
     stack: list[Term] = list(bodies)
     while stack:
         term = stack.pop()
         if not term.has_var:
             found[term.uid] = term
-            continue
-        if term.op == "var":
-            continue
-        for arg in term.args:
-            if isinstance(arg, Term):
-                stack.append(arg)
-    return tuple(sorted(found.values(), key=lambda t: t.uid))
+        elif term.op == "var":
+            variables[term.uid] = term
+        else:
+            stack.extend(a for a in term.args if isinstance(a, Term))
+    return (
+        tuple(sorted(found.values(), key=lambda t: t.uid)),
+        tuple(sorted(variables.values(), key=lambda t: t.uid)),
+    )
 
 
 def fix(bodies: Sequence[Term], kinds: Sequence[str] | None = None) -> tuple[Term, ...]:
@@ -602,7 +607,7 @@ def fix(bodies: Sequence[Term], kinds: Sequence[str] | None = None) -> tuple[Ter
         group.kinds = kinds
         group.uid = _NEXT_UID
         _NEXT_UID += 1
-        group.inputs = _inputs_of(bodies)
+        group.inputs, group.variables = _inputs_of(bodies)
         leaves = _merged_leaves(group.inputs)
         static = all(t.static for t in group.inputs)
         cost = sum(b.cost for b in bodies) * 8 + 40

@@ -1,7 +1,7 @@
 """Rendering litmus tests as per-architecture pseudo-assembly.
 
 The semantics of tests live in the instruction AST; these renderers
-exist for human consumption (examples, EXPERIMENTS.md, discussions with
+exist for human consumption (examples, reports, discussions with
 "architects" in the paper's workflow).  Dependency annotations are
 rendered with the standard litmus idioms: address dependencies via
 ``xor``-zero indexing, data dependencies via ``xor``-zero addition,

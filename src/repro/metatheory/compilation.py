@@ -26,7 +26,7 @@ over C++ executions.
 
 A racy X gives the program undefined behaviour, so witnesses must be
 race-free; this is the reproduction's simplification of Wickerson et
-al.'s "deadness" side-condition (recorded in DESIGN.md).
+al.'s "deadness" side-condition.
 """
 
 from __future__ import annotations

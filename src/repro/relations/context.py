@@ -1,17 +1,13 @@
-"""Per-execution interning of derived relational values.
+"""Per-execution and cross-execution interning of derived values.
 
-The models and the cat evaluator repeatedly ask one execution the same
-questions: the identity relation over its events, the full relation, the
-builtin environment mapping cat identifiers to sets/relations.  Before
-this module each :class:`~repro.cat.eval.Evaluator` (one per
-``axiom_thunks`` call, i.e. one per model per execution) rebuilt all of
-them from scratch.
-
-:class:`RelationContext` is created at most once per execution (it lives
-in the execution's ``__dict__``, so sharing skeleton caches between
-candidate executions also shares contexts' inputs) and memoises those
-values, so derived relations are computed once per execution instead of
-once per axiom.
+Models and the IR executor repeatedly ask one execution the same
+questions.  :class:`RelationContext` is created at most once per
+execution (it lives in the execution's ``__dict__``, so sharing
+skeleton caches between candidate executions also shares contexts'
+inputs) and memoises those answers under string keys, so derived
+values are computed once per execution instead of once per axiom.
+:func:`global_intern` memoises values across executions, keyed by
+their true inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..obs import REGISTRY
-from .relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..events.execution import Execution
@@ -74,8 +69,8 @@ class RelationContext:
         self._cache: dict[str, object] = {}
 
     def __reduce__(self):
-        # The cache may hold closures (cat builtin functions); pickle the
-        # context empty and let it refill lazily.
+        # A cache: pickle the context empty and let it refill lazily,
+        # so checkpoints and pool payloads stay small.
         return (RelationContext, (self.execution,))
 
     @classmethod
@@ -97,51 +92,3 @@ class RelationContext:
         else:
             _CTX_HITS.inc()
         return cache[key]
-
-    # ------------------------------------------------------------------
-    # Canonical relations over the execution's universe
-    # ------------------------------------------------------------------
-
-    @property
-    def identity(self) -> Relation:
-        rel = self._cache.get("identity")
-        if rel is None:
-            rel = Relation.identity(self.execution.eids)
-            self._cache["identity"] = rel
-        return rel
-
-    @property
-    def full(self) -> Relation:
-        rel = self._cache.get("full")
-        if rel is None:
-            rel = Relation.full(self.execution.eids)
-            self._cache["full"] = rel
-        return rel
-
-    # ------------------------------------------------------------------
-    # The cat evaluator's builtin environment
-    # ------------------------------------------------------------------
-
-    def cat_environment(self) -> dict:
-        """The builtin identifier environment for the cat evaluator.
-
-        Computed once per execution; callers that mutate the environment
-        (``let`` bindings) must copy it first.
-        """
-        env = self._cache.get("cat_env")
-        if env is None:
-            from ..cat.stdlib import build_environment
-
-            env = build_environment(self.execution, self)
-            self._cache["cat_env"] = env
-        return env  # type: ignore[return-value]
-
-    def cat_functions(self) -> dict:
-        """The builtin function table for the cat evaluator."""
-        functions = self._cache.get("cat_functions")
-        if functions is None:
-            from ..cat.stdlib import build_functions
-
-            functions = build_functions(self.execution)
-            self._cache["cat_functions"] = functions
-        return functions  # type: ignore[return-value]

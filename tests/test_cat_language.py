@@ -1,12 +1,13 @@
-"""Unit tests for the cat-language lexer, parser, and evaluator."""
+"""Unit tests for the cat-language lexer, parser, and lowered evaluation."""
 
 import pytest
 
+from repro import ir
 from repro.cat import (
+    CatModel,
     CatNameError,
     CatSyntaxError,
     CatTypeError,
-    Evaluator,
     parse,
     tokenize,
 )
@@ -132,6 +133,10 @@ class TestParser:
 
 
 class TestEvaluator:
+    """Models run on the lowered path (``CatModel``, the IR executor);
+    verdicts come from ``violated_axioms``, let-bound values from
+    constraints or from ``ir.evaluate`` of the lowered terms."""
+
     def _execution(self):
         b = ExecutionBuilder()
         t0, t1 = b.thread(), b.thread()
@@ -140,9 +145,21 @@ class TestEvaluator:
         b.rf(w, r)
         return b.build(), (w, r)
 
+    @staticmethod
+    def _run(source: str, x) -> dict[str, bool]:
+        """Axiom name → holds?, in declaration order."""
+        model = CatModel(parse(source))
+        violated = model.violated_axioms(x)
+        return {c.name: c.name not in violated for c in model.plan().constraints}
+
     def _eval(self, source: str):
         x, _ = self._execution()
-        return Evaluator(x).run(parse(source))
+        return self._run(source, x)
+
+    @staticmethod
+    def _terms(source: str) -> dict[str, ir.Term]:
+        """Check name → the lowered term it constrains."""
+        return {c.name: c.term for c in CatModel(parse(source)).plan().constraints}
 
     def test_simple_check(self):
         assert self._eval('"m" acyclic po | com as Order') == {"Order": True}
@@ -168,34 +185,34 @@ class TestEvaluator:
         with a spurious CatTypeError).  ``obs`` is the set of events
         reachable from the writes through rf: here {w, r}."""
         x, (w, r) = self._execution()
-        results = Evaluator(x).run(
-            parse(
-                '"m" let rec obs = W | range([obs] ; rf) '
-                "empty [obs] & ~(rf | rf^-1 | [EV]) as ObsCovered"
-            )
+        results = self._run(
+            '"m" let rec obs = W | range([obs] ; rf) '
+            "empty [obs] & ~(rf | rf^-1 | [EV]) as ObsCovered",
+            x,
         )
         assert results == {"ObsCovered": True}
 
     def test_let_rec_set_fixpoint_value(self):
         """The recursive set reaches the expected fixpoint."""
         x, (w, r) = self._execution()
-        evaluator = Evaluator(x)
-        evaluator.run(parse('"m" let rec obs = W | range([obs] ; rf)'))
-        assert evaluator.env["obs"] == {w, r}
+        terms = self._terms(
+            '"m" let rec obs = W | range([obs] ; rf) empty [obs] as Obs'
+        )
+        # domain([obs]) is obs itself.
+        assert ir.evaluate(ir.domain(terms["Obs"]), x) == {w, r}
 
     def test_let_rec_mixed_kind_group(self):
         """A rec group mixing a set binding and a relation binding seeds
         each from its own kind."""
         x, (w, r) = self._execution()
-        evaluator = Evaluator(x)
-        evaluator.run(
-            parse(
-                '"m" let rec obs = W | range([obs] ; step) '
-                "and step = rf | ([obs] ; po)"
-            )
+        terms = self._terms(
+            '"m" let rec obs = W | range([obs] ; step) '
+            "and step = rf | ([obs] ; po) "
+            "empty [obs] as Obs empty step as Step"
         )
-        assert evaluator.env["obs"] == {w, r}
-        assert not isinstance(evaluator.env["obs"], type(evaluator.env["step"]))
+        assert ir.evaluate(ir.domain(terms["Obs"]), x) == {w, r}
+        obs, step = terms["Obs"].args[0], terms["Step"]
+        assert (obs.kind, step.kind) == ("set", "rel")
 
     def test_set_operations(self):
         results = self._eval('"m" empty [R & W] as Disjoint')

@@ -267,8 +267,8 @@ class TestLockElisionVerdicts:
         """Reproduction finding: the literal Fig. 6 Power model admits an
         Example-1.1-shaped elision counterexample.  The paper's SAT
         search timed out after 48h with no verdict (Table 2 row 'U');
-        our exhaustive checker decides the bounded question.  Documented
-        at length in EXPERIMENTS.md."""
+        our exhaustive checker decides the bounded question.  The analysis
+        is in the docstring of benchmarks/test_table2_lock_elision.py."""
         result = check_lock_elision("power")
         assert not result.sound
 

@@ -52,7 +52,7 @@ CASES = [
     ("mp_txn", {}, "armv8tm", FORBID),
     # Transactional reader substitutes for the missing dependency on
     # ARMv8 (TxnOrder); Power's literal Fig. 6 hb cannot lift fre, so
-    # the sync variant stays allowed there (documented in EXPERIMENTS.md).
+    # the sync variant stays allowed there (see classics.mp_txn_reader).
     ("mp_txn_reader", {"fence": "dmb"}, "armv8tm", FORBID),
     ("mp_txn_reader", {"fence": "sync"}, "powertm", ALLOW),
     # Load buffering.
